@@ -2,7 +2,7 @@ package pinbcast_test
 
 // Cluster-subsystem benchmarks: the multi-channel serve path and the
 // MultiTuner retrieval loop. CI tracks them as the BENCH_cluster.json
-// artifact; bench/BENCH_cluster.json is a committed snapshot.
+// artifact.
 
 import (
 	"context"

@@ -19,6 +19,22 @@
 //     the paper's pinwheel algebra (§4), mechanized here by a certifying
 //     forcing engine.
 //
+// # Schedule queries
+//
+// Every question asked of a schedule goes through one occurrence index
+// (internal/pinwheel.Index), built once per slot array in O(P) time and
+// memory for a period of P slots: each file's sorted in-period offsets
+// in one flat array, plus each slot's rank among its file's
+// occurrences. Its primitive is span(i, k) = maxⱼ (occ[j+k] − occ[j]),
+// the largest distance from an occurrence of file i to its k-th
+// successor, with occurrences repeating every period. Every window of
+// w slots carries at least k blocks of the file exactly when
+// span(i, k) ≤ w, so schedule verification is one O(P) sweep;
+// span(i, 1) is the gap δ of Lemma 2, span(i, mᵢ) the worst fault-free
+// retrieval time, and span(i, r) the delay of r adversarial faults.
+// Queries from a given start slot binary-search the offsets, and
+// BlockAt reads the rank array in O(1).
+//
 // # The Station service
 //
 // The primary entry point is the Station: a long-lived broadcast
@@ -227,7 +243,7 @@
 //	internal/gf256     GF(2⁸) field arithmetic
 //	internal/gfmat     matrix algebra over GF(2⁸)
 //	internal/ida       Rabin IDA and AIDA dispersal
-//	internal/pinwheel  pinwheel schedulers and verifier
+//	internal/pinwheel  pinwheel schedulers, verifier and occurrence index
 //	internal/algebra   pinwheel algebra and conversions
 //	internal/core      broadcast program construction
 //	internal/multidisk frequency-tiered Broadcast Disks (the "tiered" layout)

@@ -15,8 +15,10 @@ package airindex
 
 import (
 	"fmt"
+	"sort"
 
 	"pinbcast/internal/core"
+	"pinbcast/internal/pinwheel"
 )
 
 // SlotKind distinguishes the contents of an indexed-program slot.
@@ -42,10 +44,10 @@ type Program struct {
 	IndexLen int // slots per index copy
 	Period   int
 	Slots    []Slot
-	// indexStarts are the slots at which index copies begin;
-	// isIndexStart is the membership set Query's hot path probes.
-	indexStarts  []int
-	isIndexStart map[int]bool
+	// indexStarts are the slots at which index copies begin, in
+	// increasing order; occ indexes the data slots by file.
+	indexStarts []int
+	occ         *pinwheel.Index
 }
 
 // IndexStarts returns the slots (within one indexed period) at which
@@ -99,10 +101,14 @@ func Build(base *core.Program, copies int) (*Program, error) {
 		}
 	}
 	p.Period = len(p.Slots)
-	p.isIndexStart = make(map[int]bool, len(p.indexStarts))
-	for _, s := range p.indexStarts {
-		p.isIndexStart[s] = true
+	files := make([]int, p.Period)
+	for t, s := range p.Slots {
+		files[t] = pinwheel.Idle
+		if s.Kind == Data {
+			files[t] = s.File
+		}
 	}
+	p.occ = pinwheel.NewIndex(files, len(base.Files))
 	return p, nil
 }
 
@@ -117,28 +123,12 @@ func (p *Program) At(t int) Slot { return p.Slots[t%p.Period] }
 
 // nextIndex returns the first slot ≥ t at which an index copy begins.
 func (p *Program) nextIndex(t int) int {
-	for dt := 0; dt <= p.Period; dt++ {
-		if p.isIndexStart[(t+dt)%p.Period] {
-			return t + dt
-		}
+	base := t - t%p.Period
+	k := sort.SearchInts(p.indexStarts, t-base)
+	if k == len(p.indexStarts) {
+		return base + p.Period + p.indexStarts[0]
 	}
-	panic("airindex: no index copy found in a full period")
-}
-
-// nextOccurrences returns the times ≥ from of the next `count` data
-// slots of the file.
-func (p *Program) nextOccurrences(file, from, count int) []int {
-	var out []int
-	for t := from; len(out) < count; t++ {
-		s := p.At(t)
-		if s.Kind == Data && s.File == file {
-			out = append(out, t)
-		}
-		if t-from > (count+2)*p.Period {
-			panic("airindex: file occurrences missing from program")
-		}
-	}
-	return out
+	return base + p.indexStarts[k]
 }
 
 // Access is the outcome of one indexed query.
@@ -154,10 +144,8 @@ type Access struct {
 func (p *Program) Query(file, t, blocks int) Access {
 	idx := p.nextIndex(t)
 	indexDone := idx + p.IndexLen // index fully read
-	occ := p.nextOccurrences(file, indexDone, blocks)
-	last := occ[len(occ)-1]
 	return Access{
-		Latency: last - t + 1,
+		Latency: indexDone - t + p.occ.Wait(file, indexDone, blocks),
 		// Listening: from arrival to the end of the index copy (the
 		// client cannot doze before it knows the schedule), then one
 		// slot per block.
@@ -168,9 +156,7 @@ func (p *Program) Query(file, t, blocks int) Access {
 // QueryUnindexed simulates the self-identifying-blocks client of the
 // paper: it listens continuously from t until its blocks have passed.
 func (p *Program) QueryUnindexed(file, t, blocks int) Access {
-	occ := p.nextOccurrences(file, t, blocks)
-	last := occ[len(occ)-1]
-	d := last - t + 1
+	d := p.occ.Wait(file, t, blocks)
 	return Access{Latency: d, Tuning: d}
 }
 
@@ -186,13 +172,9 @@ func (p *Program) Sweep(file, blocks int) (meanLatency, meanTuning float64) {
 	return float64(totalL) / float64(p.Period), float64(totalT) / float64(p.Period)
 }
 
-// SweepUnindexed is Sweep for the continuous-listening client.
+// SweepUnindexed is Sweep for the continuous-listening client, whose
+// latency and tuning both equal its wait for the blocks.
 func (p *Program) SweepUnindexed(file, blocks int) (meanLatency, meanTuning float64) {
-	totalL, totalT := 0, 0
-	for t := 0; t < p.Period; t++ {
-		a := p.QueryUnindexed(file, t, blocks)
-		totalL += a.Latency
-		totalT += a.Tuning
-	}
-	return float64(totalL) / float64(p.Period), float64(totalT) / float64(p.Period)
+	mean := p.occ.MeanWait(file, blocks)
+	return mean, mean
 }

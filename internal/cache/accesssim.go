@@ -84,10 +84,7 @@ func SimulateAccess(cfg AccessConfig) (*AccessReport, error) {
 			now++ // query processing consumes one slot
 			continue
 		}
-		lat, err := retrievalLatency(cfg.Program, file, now)
-		if err != nil {
-			return nil, err
-		}
+		lat := retrievalLatency(cfg.Program, file, now)
 		rep.MeanLatency += float64(lat)
 		if lat > rep.MaxLatency {
 			rep.MaxLatency = lat
@@ -101,21 +98,8 @@ func SimulateAccess(cfg AccessConfig) (*AccessReport, error) {
 
 // retrievalLatency returns the number of slots from `from` until the
 // file's M-th block occurrence has passed (fault-free retrieval).
-func retrievalLatency(p *core.Program, file, from int) (int, error) {
-	need := p.Files[file].M
-	occ := p.Occurrences(file)
-	if len(occ) == 0 {
-		return 0, fmt.Errorf("cache: file %q never scheduled", p.Files[file].Name)
-	}
-	seen := 0
-	for t := from; ; t++ {
-		if p.FileAt(t) == file {
-			seen++
-			if seen == need {
-				return t - from + 1, nil
-			}
-		}
-	}
+func retrievalLatency(p *core.Program, file, from int) int {
+	return p.Index().Wait(file, from, p.Files[file].M)
 }
 
 // BroadcastFrequencies returns the per-file slot counts per period of a

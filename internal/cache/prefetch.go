@@ -84,10 +84,7 @@ func SimulatePrefetch(cfg PrefetchConfig) (*AccessReport, error) {
 		}
 		// Miss: wait for the file on the air. While waiting, a
 		// prefetching client re-evaluates every passing item.
-		lat, err := retrievalLatency(cfg.Program, file, now)
-		if err != nil {
-			return nil, err
-		}
+		lat := retrievalLatency(cfg.Program, file, now)
 		if cfg.Prefetch {
 			for dt := 0; dt < lat; dt++ {
 				passing := cfg.Program.FileAt(now + dt)

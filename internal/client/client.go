@@ -59,6 +59,7 @@ type Client struct {
 	start    int // first observed slot; -1 until the client hears the channel
 	now      int
 	pending  map[string]*pendingFile
+	open     int // uncompleted entries of pending, kept by Add, Cancel, finish and Flush
 	results  []Result
 	fileName map[uint32]string // file ID -> name, learned from the server mapping
 
@@ -155,8 +156,10 @@ func (c *Client) Add(r Request) error {
 		p.from = from
 		p.corrupted = 0
 		p.done = false
+		c.open++
 		return nil
 	}
+	c.open++
 	if n := len(c.freePending) - 1; n >= 0 {
 		p := c.freePending[n]
 		c.freePending = c.freePending[:n]
@@ -182,6 +185,7 @@ func (c *Client) Cancel(name string) bool {
 		return false
 	}
 	delete(c.pending, name)
+	c.open--
 	for _, b := range p.blocks {
 		c.freeBlocks = append(c.freeBlocks, b)
 	}
@@ -234,15 +238,7 @@ func (c *Client) IsPending(name string) bool {
 // PendingCount returns the number of uncompleted requests.
 //
 //pinlint:hotpath
-func (c *Client) PendingCount() int {
-	n := 0
-	for _, p := range c.pending {
-		if !p.done {
-			n++
-		}
-	}
-	return n
-}
+func (c *Client) PendingCount() int { return c.open }
 
 // Pending returns the names of files with uncompleted requests.
 func (c *Client) Pending() []string {
@@ -258,14 +254,7 @@ func (c *Client) Pending() []string {
 // Done reports whether every request has been completed.
 //
 //pinlint:hotpath
-func (c *Client) Done() bool {
-	for _, p := range c.pending {
-		if !p.done {
-			return false
-		}
-	}
-	return true
-}
+func (c *Client) Done() bool { return c.open == 0 }
 
 // Observe delivers the raw channel contents of slot t to the client:
 // nil for an idle slot, otherwise the (possibly corrupted) marshaled
@@ -371,6 +360,7 @@ func (c *Client) finish(name string, p *pendingFile) {
 		res.DeadlineMet = p.req.Deadline == 0 || latency <= p.req.Deadline
 	}
 	p.done = true
+	c.open--
 	c.results = append(c.results, res)
 	// The stored blocks are dead now that the file is rebuilt
 	// (ReconstructFile copies shard payloads out): recycle them and keep
@@ -448,5 +438,6 @@ func (c *Client) Flush(final int) []Result {
 		})
 		p.done = true
 	}
+	c.open = 0
 	return c.results
 }

@@ -247,3 +247,51 @@ func TestMultipleRequests(t *testing.T) {
 		t.Fatalf("results = %d", len(c.Results()))
 	}
 }
+
+// TestPendingCountTracksRequests checks the uncompleted-request count
+// that PendingCount and Done read against the request map itself,
+// through add, complete, re-request, cancel and flush.
+func TestPendingCountTracksRequests(t *testing.T) {
+	fa := disperse(t, 1, []byte("file F"), 1, 2)
+	c := NewSubscriber(map[uint32]string{1: "F"})
+	check := func(step string) {
+		t.Helper()
+		open := 0
+		for _, p := range c.pending {
+			if !p.done {
+				open++
+			}
+		}
+		if c.PendingCount() != open || c.Done() != (open == 0) {
+			t.Fatalf("%s: PendingCount %d, Done %v; map holds %d uncompleted", step, c.PendingCount(), c.Done(), open)
+		}
+	}
+	check("new")
+	for _, f := range []string{"F", "G", "H"} {
+		if err := c.Add(Request{File: f}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("add")
+	if got := c.Observe(0, fa[0].Marshal()); got != Completed {
+		t.Fatalf("outcome = %v, want Completed", got)
+	}
+	check("complete")
+	if err := c.Add(Request{File: "F"}); err != nil {
+		t.Fatal(err)
+	}
+	check("re-request")
+	if !c.Cancel("G") || c.Cancel("G") {
+		t.Fatal("Cancel must withdraw G exactly once")
+	}
+	check("cancel")
+	if err := c.Add(Request{File: "G"}); err != nil {
+		t.Fatal(err)
+	}
+	check("re-add after cancel")
+	c.Flush(5)
+	check("flush")
+	if c.PendingCount() != 0 {
+		t.Fatalf("PendingCount %d after Flush", c.PendingCount())
+	}
+}

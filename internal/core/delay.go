@@ -42,31 +42,10 @@ func AIDADelay(p *Program, file, r int) (int, error) {
 	if r == 0 {
 		return 0, nil
 	}
-	gaps := p.Gaps(file)
-	if len(gaps) == 0 {
-		return 0, fmt.Errorf("core: file %q never scheduled", info.Name)
-	}
-	// Maximum sum of r consecutive cyclic gaps. r may exceed one
-	// period's worth of occurrences; whole extra turns each add the full
-	// period.
-	n := len(gaps)
-	fullTurns := r / n
-	rem := r % n
-	best := fullTurns * p.Period
-	if rem == 0 {
-		return best, nil
-	}
-	maxWindow := 0
-	for start := 0; start < n; start++ {
-		sum := 0
-		for k := 0; k < rem; k++ {
-			sum += gaps[(start+k)%n]
-		}
-		if sum > maxWindow {
-			maxWindow = sum
-		}
-	}
-	return best + maxWindow, nil
+	// The adversary kills the r occurrences after the file's worst run
+	// of gaps (NewProgram rejects never-scheduled files): the largest
+	// distance from an occurrence to its r-th successor.
+	return p.idx.Span(file, r), nil
 }
 
 // FlatDelay returns D_r for file i of a flat (non-dispersed) program,
@@ -81,35 +60,10 @@ func FlatDelay(p *Program, file, r int) (int, error) {
 	if r == 0 {
 		return 0, nil
 	}
-	// Occurrences of each specific block of the file across one data
-	// cycle; the recurrence distance of a block is the maximum cyclic
-	// spacing between its transmissions.
-	cycle := p.DataCycle()
-	occ := make(map[int][]int) // block seq -> slots
-	for t := 0; t < cycle; t++ {
-		f, seq := p.BlockAt(t)
-		if f == file {
-			occ[seq] = append(occ[seq], t)
-		}
-	}
-	if len(occ) == 0 {
-		return 0, fmt.Errorf("core: file %q never scheduled", p.Files[file].Name)
-	}
-	worst := 0
-	for _, slots := range occ {
-		for k := range slots {
-			var gap int
-			if k+1 < len(slots) {
-				gap = slots[k+1] - slots[k]
-			} else {
-				gap = slots[0] + cycle - slots[k]
-			}
-			if gap > worst {
-				worst = gap
-			}
-		}
-	}
-	return r * worst, nil
+	// AIDA rotation gives the k-th occurrence of the file block k mod N,
+	// so each block recurs N occurrences later: the worst per-block
+	// recurrence distance is the span to the N-th successor.
+	return r * p.idx.Span(file, p.Files[file].N), nil
 }
 
 // Lemma1Bound returns the paper's Lemma 1 upper bound r·τ for a flat

@@ -32,13 +32,11 @@ type Program struct {
 	Bandwidth int   // blocks per time unit; 0 when latencies were given in slots
 	Origin    string
 
-	// perPeriod[i] is the number of slots of file i per period;
-	// prefix[i][t] counts slots of file i in [0, t); cycle is the
-	// precomputed data-cycle length in slots (overflow-checked at
+	// idx is the occurrence index every schedule query reads; cycle is
+	// the precomputed data-cycle length in slots (overflow-checked at
 	// construction, so DataCycle stays a plain accessor).
-	perPeriod []int
-	prefix    [][]int32
-	cycle     int
+	idx   *pinwheel.Index
+	cycle int
 }
 
 // NewProgram assembles a program and precomputes its occurrence index.
@@ -53,26 +51,14 @@ func NewProgram(files []FileInfo, slots []int, bandwidth int, origin string) (*P
 	if p.Period == 0 {
 		return nil, fmt.Errorf("core: empty program")
 	}
-	p.perPeriod = make([]int, len(files))
-	p.prefix = make([][]int32, len(files))
-	for i := range files {
-		p.prefix[i] = make([]int32, p.Period+1)
-	}
 	for t, v := range slots {
-		for i := range files {
-			p.prefix[i][t+1] = p.prefix[i][t]
-		}
-		if v == Idle {
-			continue
-		}
-		if v < 0 || v >= len(files) {
+		if v != Idle && (v < 0 || v >= len(files)) {
 			return nil, fmt.Errorf("core: slot %d names unknown file %d", t, v)
 		}
-		p.perPeriod[v]++
-		p.prefix[v][t+1]++
 	}
+	p.idx = pinwheel.NewIndex(slots, len(files))
 	for i, f := range files {
-		if p.perPeriod[i] == 0 {
+		if p.idx.Count(i) == 0 {
 			return nil, fmt.Errorf("core: file %q never scheduled", f.Name)
 		}
 	}
@@ -83,7 +69,7 @@ func NewProgram(files []FileInfo, slots []int, bandwidth int, origin string) (*P
 	// (large coprime dispersal widths) can push past the int range.
 	cycle := 1
 	for i := range files {
-		c, n := p.perPeriod[i], p.Files[i].N
+		c, n := p.idx.Count(i), p.Files[i].N
 		rep := n / slotmath.GCD(c, n)
 		var err error
 		if cycle, err = slotmath.LCM(cycle, rep); err != nil {
@@ -98,7 +84,12 @@ func NewProgram(files []FileInfo, slots []int, bandwidth int, origin string) (*P
 }
 
 // PerPeriod returns how many slots per period carry file i.
-func (p *Program) PerPeriod(i int) int { return p.perPeriod[i] }
+func (p *Program) PerPeriod(i int) int { return p.idx.Count(i) }
+
+// Index returns the program's occurrence index, which answers every
+// window, gap and latency query in time linear in the occurrences
+// involved. It is shared and read-only.
+func (p *Program) Index() *pinwheel.Index { return p.idx }
 
 // FileIndex returns the file-table index of the named file, or -1 when
 // the program does not carry it. Layouts may order the file table
@@ -129,18 +120,15 @@ func (p *Program) BlockAt(t int) (file, seq int) {
 	if f == Idle {
 		return Idle, 0
 	}
-	k := (t / p.Period) * p.perPeriod[f] // full periods before t
-	k += int(p.prefix[f][t%p.Period])    // occurrences earlier in this period
-	return f, k % p.Files[f].N
+	return f, p.idx.Ordinal(f, t) % p.Files[f].N
 }
 
 // Occurrences returns the slot offsets of file i within one period.
 func (p *Program) Occurrences(i int) []int {
-	var out []int
-	for t, v := range p.Slots {
-		if v == i {
-			out = append(out, t)
-		}
+	occ := p.idx.Offsets(i)
+	out := make([]int, len(occ))
+	for k, t := range occ {
+		out[k] = int(t)
 	}
 	return out
 }
@@ -149,29 +137,17 @@ func (p *Program) Occurrences(i int) []int {
 // file i, in occurrence order starting from the first; the last entry
 // wraps around the period. Sum of gaps equals the period.
 func (p *Program) Gaps(i int) []int {
-	occ := p.Occurrences(i)
-	if len(occ) == 0 {
-		return nil
-	}
+	occ := p.idx.Offsets(i)
 	gaps := make([]int, len(occ))
-	for k := 0; k < len(occ)-1; k++ {
-		gaps[k] = occ[k+1] - occ[k]
+	for k := range occ {
+		gaps[k] = p.idx.At(i, k+1) - int(occ[k])
 	}
-	gaps[len(occ)-1] = occ[0] + p.Period - occ[len(occ)-1]
 	return gaps
 }
 
 // MaxGap returns δ for file i (Lemma 2): the maximum spacing between
 // consecutive blocks of the file in the broadcast.
-func (p *Program) MaxGap(i int) int {
-	max := 0
-	for _, g := range p.Gaps(i) {
-		if g > max {
-			max = g
-		}
-	}
-	return max
-}
+func (p *Program) MaxGap(i int) int { return p.idx.Span(i, 1) }
 
 // DataCycle returns the length in slots of the program data cycle
 // (§2.3): the smallest multiple of the period after which every file's
@@ -185,26 +161,8 @@ func (p *Program) DataCycle() int { return p.cycle }
 // makes consecutive occurrences distinct). The profile is periodic, so
 // one period of start slots covers the infinite broadcast.
 func (p *Program) LatencyProfile(file int) (mean float64, worst int) {
-	occ := p.Occurrences(file)
 	need := p.Files[file].M
-	// occTime(k) is the absolute slot of the k-th occurrence of the
-	// file, counting across periods.
-	occTime := func(k int) int {
-		return occ[k%len(occ)] + (k/len(occ))*p.Period
-	}
-	total := 0
-	next := 0 // index of the first occurrence at or after start
-	for start := 0; start < p.Period; start++ {
-		for next < len(occ) && occ[next] < start {
-			next++
-		}
-		lat := occTime(next+need-1) - start + 1
-		total += lat
-		if lat > worst {
-			worst = lat
-		}
-	}
-	return float64(total) / float64(p.Period), worst
+	return p.idx.MeanWait(file, need), p.idx.Span(file, need)
 }
 
 // WeightedMeanLatency returns the access-probability-weighted mean
@@ -225,23 +183,9 @@ func (p *Program) WeightedMeanLatency(probs []float64) float64 {
 // broadcast-side analogue of pinwheel verification and is used to
 // validate constructed programs against their specifications.
 func (p *Program) VerifyWindows(file, need, window int) error {
-	total := p.perPeriod[file]
-	full := window / p.Period
-	rem := window % p.Period
-	for start := 0; start < p.Period; start++ {
-		got := full * total
-		if rem > 0 {
-			end := start + rem
-			if end <= p.Period {
-				got += int(p.prefix[file][end] - p.prefix[file][start])
-			} else {
-				got += int(p.prefix[file][p.Period]-p.prefix[file][start]) + int(p.prefix[file][end-p.Period])
-			}
-		}
-		if got < need {
-			return fmt.Errorf("core: file %q gets %d blocks in window at slot %d, needs %d in %d",
-				p.Files[file].Name, got, start, need, window)
-		}
+	if start, got, ok := p.idx.Window(file, need, window); !ok {
+		return fmt.Errorf("core: file %q gets %d blocks in window at slot %d, needs %d in %d",
+			p.Files[file].Name, got, start, need, window)
 	}
 	return nil
 }

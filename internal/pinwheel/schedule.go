@@ -85,9 +85,9 @@ func (s *Schedule) String() string {
 
 // Verify checks that the cyclic schedule satisfies every task of the
 // system: each task i must appear in at least sys[i].A slots of every
-// window of sys[i].B consecutive slots of the infinite schedule. Windows
-// are checked cyclically, which covers all windows of the infinite
-// repetition. It also checks that no slot index is out of range.
+// window of sys[i].B consecutive slots of the infinite schedule, which
+// holds exactly when Span(i, A) ≤ B on the occurrence index (O(P) time
+// and memory). It also checks that no slot index is out of range.
 func (s *Schedule) Verify(sys System) error {
 	if s.Period < 1 || len(s.Slots) != s.Period {
 		return fmt.Errorf("pinwheel: malformed schedule (period %d, %d slots)", s.Period, len(s.Slots))
@@ -97,40 +97,12 @@ func (s *Schedule) Verify(sys System) error {
 			return fmt.Errorf("pinwheel: slot %d assigns unknown task %d", t, v)
 		}
 	}
-	p := s.Period
-	// prefix[i][t] = number of grants to task i in slots [0, t).
-	prefix := make([][]int32, len(sys))
-	for i := range prefix {
-		prefix[i] = make([]int32, p+1)
-	}
-	for t, v := range s.Slots {
-		for i := range prefix {
-			prefix[i][t+1] = prefix[i][t]
-		}
-		if v != Idle {
-			prefix[v][t+1]++
-		}
-	}
+	x := NewIndex(s.Slots, len(sys))
 	for i, task := range sys {
-		total := int(prefix[i][p])
-		full := task.B / p
-		rem := task.B % p
-		for start := 0; start < p; start++ {
-			// Grants in the cyclic window [start, start+task.B).
-			got := full * total
-			if rem > 0 {
-				end := start + rem
-				if end <= p {
-					got += int(prefix[i][end] - prefix[i][start])
-				} else {
-					got += int(prefix[i][p]-prefix[i][start]) + int(prefix[i][end-p])
-				}
-			}
-			if got < task.A {
-				return fmt.Errorf(
-					"pinwheel: task %d %s gets %d grants in window starting at slot %d, needs %d",
-					i, task, got, start, task.A)
-			}
+		if start, got, ok := x.Window(i, task.A, task.B); !ok {
+			return fmt.Errorf(
+				"pinwheel: task %d %s gets %d grants in window starting at slot %d, needs %d",
+				i, task, got, start, task.A)
 		}
 	}
 	return nil
@@ -140,16 +112,4 @@ func (s *Schedule) Verify(sys System) error {
 // grants in the infinite schedule (cyclically). For a file on a
 // broadcast disk this is δ of Lemma 2: the worst-case wait for the next
 // block of the file. Returns 0 if the task is never scheduled.
-func (s *Schedule) MaxGap(i int) int {
-	g := s.Grants(i)
-	if len(g) == 0 {
-		return 0
-	}
-	max := g[0] + s.Period - g[len(g)-1] // wrap-around gap
-	for j := 1; j < len(g); j++ {
-		if d := g[j] - g[j-1]; d > max {
-			max = d
-		}
-	}
-	return max
-}
+func (s *Schedule) MaxGap(i int) int { return NewIndex(s.Slots, i+1).Span(i, 1) }

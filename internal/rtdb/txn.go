@@ -67,51 +67,50 @@ func GuaranteeTxn(files []core.FileSpec, bandwidth int, x Txn) (bool, int, error
 // when the client starts listening at the given slot: the time until
 // every read item's reconstruction threshold of blocks has passed.
 func TxnLatency(p *core.Program, x Txn, start int) (int, error) {
-	if err := x.Validate(); err != nil {
+	files, err := readSet(p, x)
+	if err != nil {
 		return 0, err
 	}
 	worst := 0
-	for _, name := range x.Reads {
-		file := p.FileIndex(name)
-		if file < 0 {
-			return 0, fmt.Errorf("rtdb: item %q not on the broadcast disk: %w", name, bcerr.ErrBadSpec)
-		}
-		need := p.Files[file].M
-		seen := 0
-		t := start
-		for {
-			if p.FileAt(t) == file {
-				seen++
-				if seen == need {
-					break
-				}
-			}
-			t++
-			if t-start > (need+2)*p.Period*4 {
-				return 0, fmt.Errorf("rtdb: item %q starves on the program", name)
-			}
-		}
-		if lat := t - start + 1; lat > worst {
+	for _, f := range files {
+		if lat := p.Index().Wait(f, start, p.Files[f].M); lat > worst {
 			worst = lat
 		}
 	}
 	return worst, nil
 }
 
-// TxnWorstLatency maximizes TxnLatency over every start slot of one
-// period.
+// TxnWorstLatency maximizes TxnLatency over every start slot. The
+// worst start for one item is the slot after the occurrence farthest
+// from its M-th successor, so the maximum is the largest Span(i, Mᵢ)
+// over the read set.
 func TxnWorstLatency(p *core.Program, x Txn) (int, error) {
+	files, err := readSet(p, x)
+	if err != nil {
+		return 0, err
+	}
 	worst := 0
-	for start := 0; start < p.Period; start++ {
-		lat, err := TxnLatency(p, x, start)
-		if err != nil {
-			return 0, err
-		}
-		if lat > worst {
+	for _, f := range files {
+		if lat := p.Index().Span(f, p.Files[f].M); lat > worst {
 			worst = lat
 		}
 	}
 	return worst, nil
+}
+
+// readSet validates the transaction and resolves its reads to file
+// indices of the program.
+func readSet(p *core.Program, x Txn) ([]int, error) {
+	if err := x.Validate(); err != nil {
+		return nil, err
+	}
+	files := make([]int, len(x.Reads))
+	for k, name := range x.Reads {
+		if files[k] = p.FileIndex(name); files[k] < 0 {
+			return nil, fmt.Errorf("rtdb: item %q not on the broadcast disk: %w", name, bcerr.ErrBadSpec)
+		}
+	}
+	return files, nil
 }
 
 // MaxStaleness bounds the age of item data a client holds right after

@@ -77,25 +77,6 @@ func AppendFrame(dst []byte, slot int, payload []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// WriteFrame writes one slot frame to w.
-func WriteFrame(w io.Writer, slot int, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("transport: payload %d exceeds limit", len(payload))
-	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(slot))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReadFrame reads one slot frame from r. An idle slot yields a nil
 // payload. The payload is freshly allocated; use ReadFrameInto in
 // receive loops that can reuse a buffer.

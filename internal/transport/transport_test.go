@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"io"
 	"net"
 	"testing"
 	"time"
@@ -13,19 +12,20 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	payload := []byte("block payload")
-	if err := WriteFrame(&buf, 42, payload); err != nil {
+	wire, err := AppendFrame(nil, 42, payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, 43, nil); err != nil {
+	if wire, err = AppendFrame(wire, 43, nil); err != nil {
 		t.Fatal(err)
 	}
-	slot, got, err := ReadFrame(&buf)
+	buf := bytes.NewBuffer(wire)
+	slot, got, err := ReadFrame(buf)
 	if err != nil || slot != 42 || !bytes.Equal(got, payload) {
 		t.Fatalf("frame 1: slot=%d err=%v", slot, err)
 	}
-	slot, got, err = ReadFrame(&buf)
+	slot, got, err = ReadFrame(buf)
 	if err != nil || slot != 43 || got != nil {
 		t.Fatalf("frame 2: slot=%d payload=%v err=%v", slot, got, err)
 	}
@@ -35,9 +35,8 @@ func TestReadFrameShort(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader([]byte{1, 2})); err == nil {
 		t.Fatal("short header accepted")
 	}
-	var buf bytes.Buffer
-	WriteFrame(&buf, 1, []byte("abcdef"))
-	trunc := buf.Bytes()[:buf.Len()-2]
+	wire, _ := AppendFrame(nil, 1, []byte("abcdef"))
+	trunc := wire[:len(wire)-2]
 	if _, _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
@@ -51,8 +50,8 @@ func TestReadFrameOversized(t *testing.T) {
 	}
 }
 
-func TestWriteFrameOversized(t *testing.T) {
-	if err := WriteFrame(io.Discard, 0, make([]byte, MaxFramePayload+1)); err == nil {
+func TestAppendFrameOversized(t *testing.T) {
+	if _, err := AppendFrame(nil, 0, make([]byte, MaxFramePayload+1)); err == nil {
 		t.Fatal("oversized payload accepted")
 	}
 }
