@@ -15,6 +15,7 @@ package pinbcast_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -215,11 +216,10 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkStationServe measures the streaming broadcast loop: slots
-// drained per second from a consumer-paced Serve stream. This is the
-// hot path of the Station service API and the series tracked by CI in
-// BENCH_station.json.
-func BenchmarkStationServe(b *testing.B) {
+// benchStation builds the two-file station the serve and receiver
+// benchmarks share: 256-byte blocks, a 256-slot channel buffer.
+func benchStation(b *testing.B) *pinbcast.Station {
+	b.Helper()
 	files := []pinbcast.FileSpec{
 		{Name: "A", Blocks: 4, Latency: 8, Faults: 1},
 		{Name: "B", Blocks: 8, Latency: 40},
@@ -232,6 +232,15 @@ func BenchmarkStationServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return st
+}
+
+// BenchmarkStationServe measures the streaming broadcast loop: slots
+// drained per second from a consumer-paced Serve stream. This is the
+// hot path of the Station service API and the series tracked by CI in
+// BENCH_station.json.
+func BenchmarkStationServe(b *testing.B) {
+	st := benchStation(b)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	slots, err := st.Serve(ctx)
@@ -243,6 +252,33 @@ func BenchmarkStationServe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := <-slots; !ok {
 			b.Fatal("stream closed")
+		}
+	}
+}
+
+// BenchmarkStationPull measures the pulled in-process transport on the
+// station BenchmarkStationServe drains: ns per slot of SlotSource.Next
+// over a served channel, each slot computed in the reading goroutine.
+func BenchmarkStationPull(b *testing.B) {
+	st := benchStation(b)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	slots, err := st.Serve(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := pinbcast.SlotSource(slots)
+	// Past any slots the serve goroutine buffered before the claim.
+	for i := 0; i < 512; i++ {
+		if _, err := src.Next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := src.Next(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -266,18 +302,7 @@ func (s *loopSource) Close() error { return nil }
 // station for replay-driven receiver benchmarks.
 func benchRecording(b *testing.B) (*pinbcast.Station, *pinbcast.Recording) {
 	b.Helper()
-	files := []pinbcast.FileSpec{
-		{Name: "A", Blocks: 4, Latency: 8, Faults: 1},
-		{Name: "B", Blocks: 8, Latency: 40},
-	}
-	st, err := pinbcast.New(
-		pinbcast.WithFiles(files...),
-		pinbcast.WithContents(workload.Contents(files, 256, 5)),
-		pinbcast.WithSlotBuffer(256),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
+	st := benchStation(b)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	slots, err := st.Serve(ctx)
@@ -342,8 +367,8 @@ func BenchmarkReceiverReconstruct(b *testing.B) {
 }
 
 // BenchmarkServeFanoutPipeline measures the full networked data plane
-// in steady state: Station serve loop → Pump → TCP Fanout → framed
-// wire → TCPSource (buffer reuse on) → Receiver protocol step. MB/s is
+// in steady state: Station.Broadcast → TCP Fanout → framed wire →
+// TCPSource (buffer reuse on) → Receiver protocol step. MB/s is
 // wire payload throughput; the per-slot cost covers framing, one
 // loopback round, frame decode and block classification. Tracked by CI
 // in BENCH_dataplane.json.
@@ -434,6 +459,46 @@ func BenchmarkStationBuild(b *testing.B) {
 		if _, err := pinbcast.New(pinbcast.WithFiles(files...), pinbcast.WithContents(contents)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAdmit measures online admission on a serving station: one
+// Admit and one Evict of a file, each a full rebuild (admission test,
+// scheduling, verification, dispersal), on the churn catalog of n
+// files (2 blocks each, latency 8n, one fault, bandwidth 1).
+func BenchmarkAdmit(b *testing.B) {
+	for _, n := range []int{64, 1024, 8192} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			files := make([]pinbcast.FileSpec, n)
+			for i := range files {
+				files[i] = pinbcast.FileSpec{Name: fmt.Sprintf("c%05d", i), Blocks: 2, Latency: 8 * n, Faults: 1}
+			}
+			st, err := pinbcast.New(
+				pinbcast.WithFiles(files...),
+				pinbcast.WithContents(workload.Contents(files, 64, 7)),
+				pinbcast.WithBandwidth(1),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if _, err := st.Serve(ctx); err != nil {
+				b.Fatal(err)
+			}
+			fresh := pinbcast.FileSpec{Name: "fresh", Blocks: 2, Latency: 8 * n, Faults: 1}
+			data := make([]byte, 128)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := st.Admit(fresh, data); err != nil {
+					b.Fatal(err)
+				}
+				if err := st.Evict(fresh.Name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -411,7 +411,7 @@ func (c *Cluster) Serve(ctx context.Context) ([]<-chan Slot, error) {
 			}
 			for j := range outs {
 				if outs[j] != nil {
-					for range outs[j] { //pinlint:allow cancelflow — every started serve was cancelled above; the drain ends when serveLoop closes its channel
+					for range outs[j] { //pinlint:allow cancelflow — every started serve was cancelled above; the drain ends when the serve goroutine closes its channel
 					}
 				}
 				c.stops[j] = nil

@@ -56,22 +56,21 @@ func (f *Fanout) Send(s Slot) error { return f.f.Send(s.T, s.Payload) }
 func (f *Fanout) Close() error { return f.f.Close() }
 
 // Broadcast serves the station's slot stream into a sink until ctx is
-// cancelled or the sink fails: Serve and Pump in one call. Like Serve
-// it is single-flight — a concurrent broadcast returns ErrServing.
+// cancelled or the sink fails, computing each slot in the calling
+// goroutine. Like Serve it is single-flight — a concurrent broadcast
+// returns ErrServing — and the station can serve again as soon as it
+// returns.
 func (st *Station) Broadcast(ctx context.Context, sink Sink) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	slots, err := st.Serve(ctx)
+	cur, err := st.open(ctx)
 	if err != nil {
 		return err
 	}
-	err = Pump(slots, sink)
-	if err != nil {
-		// The sink died mid-stream: stop the serve loop and drain it so
-		// the station is immediately serviceable again.
-		cancel()
-		for range slots { //pinlint:allow cancelflow — cancel() above stops the serve loop, which closes slots; the drain is bounded
+	defer cur.close()
+	var slot Slot
+	for cur.pace() && cur.next(&slot) {
+		if err := sink.Send(slot); err != nil {
+			return err
 		}
 	}
-	return err
+	return nil
 }

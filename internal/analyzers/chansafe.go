@@ -18,10 +18,9 @@ import (
 //     whose summary sends on (or closes) it;
 //   - a function that closes a channel parameter — itself or via its
 //     callees — owns that channel's close side, and must say so in its
-//     signature by declaring the parameter send-only (chan<- T), the
-//     way station.go's serveLoop does. Closing a receive-only channel
-//     is already a compile error, so the receive direction needs no
-//     analyzer.
+//     signature by declaring the parameter send-only (chan<- T).
+//     Closing a receive-only channel is already a compile error, so
+//     the receive direction needs no analyzer.
 //
 // The may-closed state is tracked per function over the shared CFG
 // with named channels keyed like lockcheck's guarded fields ("out",

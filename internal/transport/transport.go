@@ -471,10 +471,16 @@ const receiveBufferSize = 128 << 10
 // through a read-ahead buffer sized to the fan-out's writev batches, so
 // a receiver keeping pace pays one read syscall per batch of frames,
 // not two per frame (header, payload).
+//
+// The wire carries slot numbers modulo 2³²; the Receiver extends them
+// back to a monotonic slot index, so a stream that outlives 2³² slots
+// keeps counting up.
 type Receiver struct {
-	conn net.Conn
-	br   *bufio.Reader
-	buf  []byte // NextReuse's frame buffer
+	conn  net.Conn
+	br    *bufio.Reader
+	buf   []byte // NextReuse's frame buffer
+	last  int    // extended index of the last slot received
+	heard bool   // whether any slot has been received
 }
 
 // Dial connects to a broadcaster.
@@ -502,7 +508,10 @@ func (r *Receiver) Next(deadline time.Duration) (slot int, payload []byte, err e
 	if deadline > 0 {
 		r.conn.SetReadDeadline(time.Now().Add(deadline))
 	}
-	return ReadFrame(r.br)
+	if slot, payload, err = ReadFrame(r.br); err != nil {
+		return 0, nil, err
+	}
+	return r.extend(slot), payload, nil
 }
 
 // NextReuse is Next with the payload read into the receiver's internal
@@ -515,11 +524,27 @@ func (r *Receiver) NextReuse(deadline time.Duration) (slot int, payload []byte, 
 	if deadline > 0 {
 		r.conn.SetReadDeadline(time.Now().Add(deadline))
 	}
-	slot, payload, err = ReadFrameInto(r.br, r.buf)
+	if slot, payload, err = ReadFrameInto(r.br, r.buf); err != nil {
+		return 0, nil, err
+	}
 	if cap(payload) > cap(r.buf) {
 		r.buf = payload[:cap(payload)]
 	}
-	return slot, payload, err
+	return r.extend(slot), payload, nil
+}
+
+// extend maps a 32-bit wire slot number to the slot index nearest the
+// last one received, by RFC 1982 serial arithmetic: the wire number is
+// taken to lie within 2³¹ slots of its predecessor, ahead or behind.
+// The first slot received is taken as is.
+//
+//pinlint:hotpath
+func (r *Receiver) extend(wire int) int {
+	if r.heard {
+		wire = r.last + int(int32(uint32(wire)-uint32(r.last)))
+	}
+	r.last, r.heard = wire, true
+	return wire
 }
 
 // Close closes the connection.

@@ -255,3 +255,27 @@ func waitClients(t *testing.T, b *Broadcaster, n int) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestReceiverExtendsWireSlot feeds wire slot numbers across the 2³²
+// wrap, with a gap and a step back, and checks the extended indices
+// keep counting from the first slot heard.
+func TestReceiverExtendsWireSlot(t *testing.T) {
+	const wrap = 1 << 32
+	r := &Receiver{}
+	for _, c := range []struct{ wire, want int }{
+		{wrap - 2, wrap - 2},
+		{wrap - 1, wrap - 1},
+		{0, wrap},
+		{5, wrap + 5},
+		{3, wrap + 3},
+		{wrap - 1, wrap - 1},
+		{1 << 30, wrap + 1<<30},
+		{3<<30 - 1, wrap + 3<<30 - 1}, // 2³¹−1 ahead: the farthest forward step
+
+		{0, 2 * wrap},
+	} {
+		if got := r.extend(c.wire); got != c.want {
+			t.Fatalf("wire %d: extended to %d, want %d", c.wire, got, c.want)
+		}
+	}
+}

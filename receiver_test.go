@@ -53,8 +53,8 @@ func record(t testing.TB, st *Station, n int) *Recording {
 	return rec
 }
 
-// serveRetry serves a station that may still be winding down a prior
-// stream (the serving flag clears a beat after the channel closes).
+// serveRetry serves a station, retrying while a prior stream still
+// holds it.
 func serveRetry(t testing.TB, ctx context.Context, st *Station) <-chan Slot {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -435,6 +435,72 @@ func TestTunerTradeoff(t *testing.T) {
 	}
 	if _, err := NewTuner(prog, 0); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("zero copies: err = %v, want ErrBadSpec", err)
+	}
+}
+
+// TestFanoutSlotWraparound replays a broadcast through a TCP Fanout
+// with slot numbers starting 8 slots short of 2³², where the 32-bit
+// wire slot wraps to 0. A receiver tuned in before the wrap must
+// collect the blocks on both sides of it and rebuild the file.
+func TestFanoutSlotWraparound(t *testing.T) {
+	const base = 1<<32 - 8
+	payload := []byte("file A: four blocks that straddle the slot-number wrap")
+	st, err := New(
+		WithFile(FileSpec{Name: "A", Blocks: 4, Latency: 24}, payload),
+		WithFile(FileSpec{Name: "B", Blocks: 1, Latency: 3}, []byte("b")),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := record(t, st, 4*st.Program().DataCycle()).Slots()
+	before := 0
+	for _, slot := range slots[:8] {
+		if slot.File == "A" {
+			before++
+		}
+	}
+	if before == 0 || before >= 4 {
+		t.Fatalf("%d of A's 4 blocks fall before the wrap; the test needs some on each side", before)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan := NewFanout(ln, 0)
+	defer fan.Close()
+	src, err := DialSource(fan.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Timeout = 5 * time.Second
+	r, err := Subscribe(src, WithDirectory(st.Directory()), WithRequest("A", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for deadline := time.Now().Add(5 * time.Second); fan.ClientCount() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("receiver never subscribed")
+		}
+	}
+	go func() {
+		for i, slot := range slots {
+			slot.T = base + i
+			if fan.Send(slot) != nil {
+				return
+			}
+		}
+	}()
+	results, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || !results[0].Completed || !bytes.Equal(results[0].Data, payload) {
+		t.Fatalf("file A not rebuilt across the wrap: %+v", results)
+	}
+	if end := base + results[0].Latency; end < 1<<32 {
+		t.Fatalf("A completed at slot %d, before the wrap", end)
 	}
 }
 

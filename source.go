@@ -55,22 +55,57 @@ func Pump(slots <-chan Slot, sink Sink) error {
 	return nil
 }
 
-// slotSource adapts a Station's served channel to the Source interface.
+// slotSource adapts a served channel to the Source interface.
 type slotSource struct {
 	slots <-chan Slot
+	feed  *feed // the Serve behind slots, nil when not found
+	drain bool  // read slots the adapter sent before the claim first
 	once  sync.Once
 	done  chan struct{}
 }
 
-// SlotSource returns the in-process transport: a Source that reads the
-// channel returned by Station.Serve. Closing the source detaches the
-// receiver without disturbing the station (the serve loop keeps
-// streaming to other consumers of the channel, if any).
+// SlotSource returns the in-process transport: a Source over the
+// channel returned by Station.Serve or Cluster.Serve. While that serve
+// runs, the source takes over its slot engine, and Next computes each
+// slot in the caller's goroutine instead of receiving it from the
+// serve goroutine; raw reads of the channel then see no further slots.
+// Several sources over one channel share the engine, each slot going
+// to exactly one of them. Any other channel is read as is. Closing the
+// source detaches the receiver without disturbing the station.
 func SlotSource(slots <-chan Slot) Source {
-	return &slotSource{slots: slots, done: make(chan struct{})}
+	s := &slotSource{slots: slots, done: make(chan struct{})}
+	if f, ok := feeds.Load(slots); ok {
+		s.feed = f.(*feed)
+		s.drain = s.feed.claim()
+	}
+	return s
 }
 
-func (s *slotSource) Next() (Slot, error) {
+//pinlint:hotpath
+func (s *slotSource) Next() (slot Slot, err error) {
+	select {
+	case <-s.done:
+		return Slot{}, io.EOF
+	default:
+	}
+	if s.feed == nil || s.drain {
+		return s.receive()
+	}
+	if !s.feed.pull(&slot) {
+		return Slot{}, io.EOF
+	}
+	return
+}
+
+// receive reads the channel: always when no serve stands behind it,
+// else until the slots computed before the claim are consumed.
+//
+//pinlint:hotpath
+func (s *slotSource) receive() (Slot, error) {
+	var parked <-chan struct{}
+	if s.feed != nil {
+		parked = s.feed.parked
+	}
 	select {
 	case <-s.done:
 		return Slot{}, io.EOF
@@ -78,7 +113,23 @@ func (s *slotSource) Next() (Slot, error) {
 		if !ok {
 			return Slot{}, io.EOF
 		}
+		// Unbuffered, the adapter had at most one slot left to send.
+		if s.feed != nil && cap(s.slots) == 0 {
+			s.drain = false
+		}
 		return slot, nil
+	case <-parked:
+		// The adapter sends no more: take what is left, then pull.
+		select {
+		case slot, ok := <-s.slots:
+			if !ok {
+				return Slot{}, io.EOF
+			}
+			return slot, nil
+		default:
+			s.drain = false
+			return s.Next()
+		}
 	}
 }
 
@@ -91,6 +142,8 @@ func (s *slotSource) Close() error {
 // The wire carries the paper's model faithfully: slot index and raw
 // self-identifying block only — no file names, no generation marks —
 // so a receiver needs a directory (WithDirectory) to resolve names.
+// The wire slot index is 32 bits; Next extends it to a monotonic Slot.T,
+// so a subscription outlives the wrap every 2³² slots.
 type TCPSource struct {
 	r *transport.Receiver
 	// Timeout bounds each Next call; zero blocks indefinitely.

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pinbcast/internal/core"
-	"pinbcast/internal/obs"
 	"pinbcast/internal/pinwheel"
 	"pinbcast/internal/rtdb"
 	"pinbcast/internal/server"
@@ -67,15 +67,17 @@ type Station struct {
 	interval   time.Duration
 	buffer     int
 
-	// buildMu serializes mutations (Admit, Evict); mu guards the
-	// generation pointers and the serving flag. Builds run outside mu
-	// so the serve loop never waits on a scheduler.
+	// buildMu serializes mutations (Admit, Evict); mu serializes the
+	// writes of the generation pointers and guards the serving flag.
+	// Builds run outside mu so the slot cursor never waits on a
+	// scheduler, and the pointers are atomic so reading the live
+	// generation takes no lock.
 	buildMu sync.Mutex
 	mu      sync.Mutex
-	gen     *generation // guarded by mu
-	pending *generation // guarded by mu
-	nextID  int         // guarded by buildMu
-	serving bool        // guarded by mu
+	gen     atomic.Pointer[generation] // the live generation; stored under mu
+	pending atomic.Pointer[generation] // staged for the next data-cycle boundary; stored under mu
+	nextID  int                        // guarded by buildMu
+	serving bool                       // guarded by mu
 	// contents is the authoritative dispersal source, owned by the
 	// station; guarded by buildMu.
 	contents map[string][]byte
@@ -120,7 +122,7 @@ func New(opts ...Option) (*Station, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.gen = gen
+	st.gen.Store(gen)
 	return st, nil
 }
 
@@ -174,9 +176,7 @@ func (st *Station) Layout() string {
 
 // Program returns the broadcast program of the active generation.
 func (st *Station) Program() *Program {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.gen.program
+	return st.gen.Load().program
 }
 
 // Bandwidth returns the channel bandwidth in blocks per time unit the
@@ -186,16 +186,12 @@ func (st *Station) Bandwidth() int { return st.bandwidth }
 
 // Generation returns the identifier of the active program generation.
 func (st *Station) Generation() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.gen.id
+	return st.gen.Load().id
 }
 
 // Files returns the file specifications of the active generation.
 func (st *Station) Files() []FileSpec {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return append([]FileSpec(nil), st.gen.files...)
+	return append([]FileSpec(nil), st.gen.Load().files...)
 }
 
 // Directory returns the mapping from stable broadcast file identifiers
@@ -209,89 +205,30 @@ func (st *Station) Files() []FileSpec {
 // read-only. A later Admit or Evict produces a new generation with a
 // new map; maps already handed out are never mutated.
 func (st *Station) Directory() map[uint32]string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.gen.srv.Names()
+	return st.gen.Load().srv.Names()
 }
 
 // Serve starts the broadcast loop and returns the slot stream. The
 // loop runs until ctx is cancelled, then closes the channel. Delivery
 // is consumer-paced unless WithSlotInterval was given. Only one Serve
-// loop may be active at a time; a second call returns ErrServing.
+// loop (or Broadcast) may be active at a time; a second call returns
+// ErrServing.
 //
 // Idle program slots are delivered as Slots with a nil Block so that
 // consumers observe real slot timing.
-func (st *Station) Serve(ctx context.Context) (<-chan Slot, error) {
-	st.mu.Lock()
-	if st.serving {
-		st.mu.Unlock()
-		return nil, ErrServing
-	}
-	st.serving = true
-	st.mu.Unlock()
-
-	out := make(chan Slot, st.buffer)
-	go st.serveLoop(ctx, out)
-	return out, nil
-}
-
-// serveLoop is the per-slot broadcast path; BenchmarkStationServe
-// asserts it streams at 0 allocs/op in steady state.
 //
-//pinlint:hotpath
-func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
-	defer func() { //pinlint:allow hotpath — one-time teardown closure, not per-slot
-		close(out)
-		st.mu.Lock()
-		st.serving = false
-		st.mu.Unlock()
-	}()
-	var tick *time.Ticker
-	if st.interval > 0 {
-		tick = time.NewTicker(st.interval)
-		defer tick.Stop()
+// A goroutine computes the slots and sends them on the channel. Wrap
+// the channel in SlotSource instead and the source computes each slot
+// in its caller's goroutine: no slot crosses a channel.
+func (st *Station) Serve(ctx context.Context) (<-chan Slot, error) {
+	cur, err := st.open(ctx)
+	if err != nil {
+		return nil, err
 	}
-	localT := 0 // slot index within the active generation
-	for t := 0; ; t++ {
-		st.mu.Lock()
-		// Program changes take effect exactly at data-cycle boundaries:
-		// every window guarantee of the outgoing program is complete and
-		// the block rotation of the incoming program starts aligned.
-		if st.pending != nil && localT%st.gen.cycle == 0 {
-			st.gen = st.pending
-			st.pending = nil
-			localT = 0
-			stSwaps.Inc()
-		}
-		gen := st.gen
-		st.mu.Unlock()
-
-		slot := Slot{T: t, Generation: gen.id}
-		if file, seq := gen.program.BlockAt(localT); file != core.Idle {
-			slot.File = gen.program.Files[file].Name
-			slot.Seq = seq
-			slot.Block = gen.srv.EmitBlock(localT)
-			slot.Payload = gen.srv.Emit(localT)
-			traceRing.Emit(obs.SlotServed, -1, slot.Block.FileID, uint64(t), uint64(gen.id))
-		} else {
-			stIdleSlots.Inc()
-		}
-		stSlots.Inc()
-		localT++
-
-		if tick != nil {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case out <- slot:
-		}
-	}
+	f := &feed{cur: cur, out: make(chan Slot, st.buffer), parked: make(chan struct{})}
+	feeds.Store((<-chan Slot)(f.out), f)
+	go f.run()
+	return f.out, nil
 }
 
 // Admit adds a file to the broadcast online. The candidate passes
@@ -371,14 +308,14 @@ func (st *Station) Evict(name string) error {
 func (st *Station) latest() *generation {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.pending != nil {
-		return st.pending
+	if gen := st.pending.Load(); gen != nil {
+		return gen
 	}
-	return st.gen
+	return st.gen.Load()
 }
 
 // stage installs a built generation: immediately when idle, or as the
-// pending swap picked up by the serve loop at the next data-cycle
+// pending swap the slot cursor picks up at the next data-cycle
 // boundary. Caller must hold buildMu.
 //
 //pinlint:cycle-boundary
@@ -386,9 +323,9 @@ func (st *Station) stage(gen *generation) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.serving {
-		st.pending = gen
+		st.pending.Store(gen)
 	} else {
-		st.gen = gen
-		st.pending = nil
+		st.gen.Store(gen)
+		st.pending.Store(nil)
 	}
 }
